@@ -15,6 +15,7 @@ fast enough for pure Python.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
@@ -25,6 +26,7 @@ from repro.cpu.mmu import (
     _LINES_PER_PAGE_BITS as LINES_PER_PAGE_BITS,
     _PAGE_OFFSET_MASK as PAGE_OFFSET_MASK,
 )
+from repro.errors import SnapshotError
 from repro.memory.address import same_page
 from repro.memory.cache import Cache, CacheLine
 from repro.memory.dram import DRAM
@@ -166,6 +168,11 @@ class _FIFOQueue:
 class Hierarchy:
     """One core's private L1D/L2 plus (possibly shared) LLC and DRAM."""
 
+    #: True while a native span's structures live only in the native
+    #: backend's flat buffers (see :mod:`repro.native.marshal`); the
+    #: Python cache/TLB/MSHR objects are stale until its ``sync()``.
+    _native_stale = False
+
     def __init__(
         self,
         mmu: MMU,
@@ -235,14 +242,23 @@ class Hierarchy:
             self._l1d_kern_cross_page = True
 
     def _wire_eviction_hooks(self) -> None:
+        # The caches hold the hook, so it must not hold the hierarchy: a
+        # cycle would keep every finished run alive until the cyclic GC
+        # runs.  The prefetchers are looked up through a weak reference
+        # (they may be swapped after wiring), and only on the
+        # useless-prefetch path.
+        pf_stats = self.pf_stats
+        owner = weakref.ref(self)
+
         def account_useless(victim: CacheLine) -> None:
-            if victim.prefetched and victim.pf_origin in self.pf_stats:
-                self.pf_stats[victim.pf_origin].useless += 1
+            if victim.prefetched and victim.pf_origin in pf_stats:
+                pf_stats[victim.pf_origin].useless += 1
+                h = owner()
                 if victim.pf_origin == "l2":
                     # Feedback for filtering prefetchers (PPF).
-                    self.l2_prefetcher.on_evict(victim.tag, was_useful=False)
+                    h.l2_prefetcher.on_evict(victim.tag, was_useful=False)
                 elif victim.pf_origin == "l1d":
-                    self.l1d_prefetcher.on_evict(victim.tag, was_useful=False)
+                    h.l1d_prefetcher.on_evict(victim.tag, was_useful=False)
 
         self.l1d.eviction_hook = account_useless
         self.l2.eviction_hook = account_useless
@@ -253,7 +269,14 @@ class Hierarchy:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
+        if self._native_stale:
+            raise SnapshotError(
+                "hierarchy structures are held by the native backend's "
+                "buffers; call NativeRunner.sync() before reading them",
+                field="native_sync",
+            )
         state = self.__dict__.copy()
+        state.pop("_native_stale", None)
         # Instrumentation (the sanitizer, the lockstep oracle) installs a
         # wrapper as an instance attribute shadowing the demand_access
         # method; it closes over unpicklable state and is re-attached by

@@ -182,7 +182,7 @@ static i64 cache_way(CCache *c, i64 s, i64 line) {
 
 static void cache_touch(CCache *c, i64 s, i64 w) {
     i64 i = s * c->ways + w;
-    c->mat[s] = 2;  /* touched: the span import must re-read this set */
+    c->mat[s] = 2;  /* touched: the next sync() must re-read this set */
     if (c->pol == POL_LRU) {
         i64 clock = c->polc[s] + 1;
         c->polc[s] = clock;

@@ -1,13 +1,41 @@
 """State marshalling between the Python simulator objects and the C kernel.
 
-The native backend runs one *span* at a time: :class:`NativeState`
-exports the full mutable simulation state into flat ``int64``/``double``
-buffers, the C kernel executes the span over those buffers, and the
-state is imported back into the very same Python objects before the
-span runner returns.  Python therefore remains the source of truth at
-every span boundary — snapshots, warmup resets, lockstep digests and
-engine switches (demotion) all operate on ordinary hierarchy objects
-and never need to know a C kernel ran the span.
+The native backend runs one *span* at a time over flat ``int64``/``double``
+buffers owned by :class:`NativeState`.  Between spans the buffers, not
+the Python objects, hold the simulated *structures*: cache sets and
+replacement rows, TLB sets, the MMU page table, MSHR entries, DRAM banks
+and pending writes, the core window and load ring, the prefetch queue,
+and the Berti delta table, heaps and history chains.  The Python objects
+are rebuilt from the buffers only when something reads them, through the
+one import entry point :meth:`NativeState.sync`.
+
+Stale-side rule
+---------------
+
+``NativeState.stale_side`` names the side whose copy of the structures
+is out of date:
+
+* ``"buffers"`` — the Python objects are newer: a fresh binding, or a
+  demoted span ran on them.  The next :meth:`~NativeState.begin_span`
+  exports every structure (and the configuration registers).
+* ``"python"`` — a native span ran since the last export or sync.  The
+  hierarchy carries ``_native_stale = True`` so that pickling it raises
+  :class:`~repro.errors.SnapshotError` instead of writing stale state.
+  :meth:`~NativeState.sync` imports; within a cache it re-reads only
+  the sets the kernel flagged touched (``MAT`` = 2).
+  ``sync(prefetcher_only=True)`` imports just the Berti tables and
+  leaves the side ``"python"``: the engines do this at the end of every
+  run, because the caller owns the prefetcher object.
+* ``None`` — both sides agree.
+
+Scalar statistics counters are not structures: they round-trip on every
+span (:meth:`~NativeState.begin_span` exports them,
+:meth:`~NativeState.end_span` imports them), so the warmup reset and
+result collection read plain Python counters.  Registers that describe a
+structure (MSHR count, window and load-ring positions, PQ length, heap
+capacity, FIFO pointers, walk-log length) stay with the buffers.  The
+warmup boundary reads the buffers directly through
+:meth:`~NativeState.prefetched_line_counts`.
 
 Layout contract
 ---------------
@@ -19,21 +47,23 @@ index (``R_<NAME>``, ``FR_<NAME>``, ``B_<NAME>``), so Python and C can
 never disagree on an offset — adding a field here re-keys the kernel
 hash and forces a rebuild.
 
-Three marshalling classes of state:
+Four marshalling classes of state:
 
 * **zero-copy** — the trace columns and the Berti history-table rings
   (``array('q')`` columns) are passed by pointer and mutated in place;
+  the per-set chains derived from the rings are rebuilt by ``sync``;
 * **span-delta counters** — exactly the batched engine's flush list
   accumulates in registers zeroed at span start and added back on
   success only (a crashed span discards them, like the batched loop);
-* **absolute counters and structures** — everything else round-trips
-  by value: exported at span start, imported unconditionally at span
-  end (even on error, matching the batched loop's in-place mutations).
+* **round-trip counters** — absolute statistics, exported at span start
+  and imported at span end (even on error, matching the batched loop's
+  in-place mutations);
+* **structures** — everything else, moved by the stale-side rule.
 
 Dict-shaped indexes (``Cache._where``, ``MSHR._entries``, TLB ``_map``,
 history ``_chains``, delta-table ``_by_delta``/``_by_tag``) are rebuilt
-from the flat columns at import time; their *insertion order* differs
-from the classic engine's, which is why those classes canonicalise dict
+from the flat columns by ``sync``; their *insertion order* differs from
+the classic engine's, which is why those classes canonicalise dict
 order in ``__getstate__`` — snapshot bytes stay backend-independent.
 """
 
@@ -41,18 +71,15 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as _np
 
 from repro.cpu.core_model import CoreModel
-from repro.memory.cache import Cache, CacheLine
+from repro.memory.cache import CacheLine
 from repro.memory.hierarchy import LATENCY_FIELD_BITS, Hierarchy
 from repro.memory.mshr import MSHREntry
-from repro.memory.replacement import DRRIPPolicy, LRUPolicy, SRRIPPolicy
-
-try:  # numpy is a declared dependency, but the fallback keeps us honest
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+from repro.memory.replacement import DRRIPPolicy, LRUPolicy
 
 __all__ = ["REGISTERS", "FREGS", "BUFS", "NativeState", "layout_digest"]
 
@@ -132,10 +159,10 @@ REGISTERS: Tuple[str, ...] = (
     "DR_LAT_TOTAL",
     # Core model.
     "C_INSTR", "ROB_SIZE", "ISSUE_WIDTH", "RETIRE_WIDTH",
-    "DEP_WINDOW", "WIN_LEN", "LOADS_LEN", "LOADS_POS", "WIN_CAP",
+    "DEP_WINDOW", "WIN_LEN", "LOADS_LEN", "LOADS_POS",
     # PQ.
     "PQ_SIZE", "PQ_LEN",
-    # Dual-channel pf_stats["l2"] useful/late (see module docstring) and
+    # Dual-channel pf_stats["l2"] useful/late (see _flush_deltas) and
     # the absolute counters bumped by fills/evictions/writebacks.
     "CREDIT2_USEFUL", "CREDIT2_LATE",
     "PF1_USELESS", "PF2_USELESS",
@@ -187,6 +214,12 @@ RIX: Dict[str, int] = {name: i for i, name in enumerate(REGISTERS)}
 FIX: Dict[str, int] = {name: i for i, name in enumerate(FREGS)}
 BIX: Dict[str, int] = {name: i for i, name in enumerate(BUFS)}
 
+#: Values of ``NativeState.stale_side``.
+STALE_BUFFERS = "buffers"
+STALE_PYTHON = "python"
+
+_HASH_MUL = 0x9E3779B97F4A7C15
+
 
 def layout_digest() -> str:
     """A short hash of the layout, folded into the kernel cache key."""
@@ -210,9 +243,29 @@ def _ptr_of(buf: Any) -> int:
     """Raw data pointer of an array('q'/'d') or numpy array (0 if empty)."""
     if buf is None:
         return 0
-    if _np is not None and isinstance(buf, _np.ndarray):
+    if isinstance(buf, _np.ndarray):
         return buf.ctypes.data if buf.size else 0
     return buf.buffer_info()[0] if len(buf) else 0
+
+
+def _zeros(code: str, n: int) -> array:
+    # Repetition fills in C; array(code, bytes(...)) is ~25x slower.
+    return array(code, [0]) * n
+
+
+def _grow(buf: array, n: int) -> None:
+    """Extend ``buf`` in place to at least ``n`` items, keeping its data."""
+    if len(buf) < n:
+        buf.extend(_zeros(buf.typecode, n - len(buf)))
+
+
+def _hash_capacity(entries: int) -> int:
+    """Power-of-two open-addressing capacity at load factor <= 1/2."""
+    need = 2 * (entries + 16)
+    cap = 64
+    while cap < need:
+        cap <<= 1
+    return cap
 
 
 class NativeState:
@@ -222,19 +275,19 @@ class NativeState:
         self.h = hierarchy
         self.core = core
         self.trace = trace
-        self.R = array("q", bytes(8 * len(REGISTERS)))
-        self.F = array("d", bytes(8 * len(FREGS)))
+        self.R = _zeros("q", len(REGISTERS))
+        self.F = _zeros("d", len(FREGS))
         # Buffer objects by name; pointers are refreshed per span (the
         # history arrays are rebound by HistoryTable.reset()).
         self.bufs: Dict[str, Any] = {name: None for name in BUFS}
-        self._kern = None
-        self._win_cap = 0
-        # Cache-array sync protocol: Python-side cache objects and the
-        # flat set arrays stay pointwise equal between spans, so export
-        # only rewrites them after mark_stale() (first span, or a
-        # demoted span mutated the Python objects behind our back), and
-        # import only reads sets the kernel flagged touched (mat == 2).
-        self._cache_stale = True
+        self._kern = hierarchy._l1d_kernel
+        #: Which side's copy of the structures is out of date (see the
+        #: module docstring); a fresh binding exports on its first span.
+        self.stale_side: Optional[str] = STALE_BUFFERS
+        # Page-table entries held by the hash besides the walk log, and
+        # the history insert count the Python chains were built at.
+        self._hash_base = 0
+        self._chain_inserts = 0
 
         ips, addrs, writes, gaps, deps = trace.columns()
         vlines, vpages = decoded_columns(trace)
@@ -246,6 +299,7 @@ class NativeState:
         assert LATENCY_FIELD_BITS == 12, "kernel hardcodes the latency field"
 
         self._alloc_static()
+        self._bind_counters()
 
     # ------------------------------------------------------------------
     # Allocation
@@ -257,87 +311,226 @@ class NativeState:
             n = cache.num_sets * cache.ways
             for f in ("TAG", "VALID", "DIRTY", "PREF", "ARR", "PFLAT",
                       "IP", "VLINE", "ORG", "POLA"):
-                b[f"{p}_{f}"] = array("q", bytes(8 * n))
-            b[f"{p}_MAT"] = array("q", bytes(8 * cache.num_sets))
-            b[f"{p}_POLC"] = array("q", bytes(8 * cache.num_sets))
+                b[f"{p}_{f}"] = _zeros("q", n)
+            b[f"{p}_MAT"] = _zeros("q", cache.num_sets)
+            b[f"{p}_POLC"] = _zeros("q", cache.num_sets)
             if type(cache.policy) is DRRIPPolicy:
-                b[f"{p}_MT"] = array("q", bytes(8 * 625))
+                b[f"{p}_MT"] = _zeros("q", 625)
         for p, mshr in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
             for f in _MSHR_BUF_FIELDS:
-                b[f"{p}_{f}"] = array("q", bytes(8 * max(1, mshr.size)))
+                b[f"{p}_{f}"] = _zeros("q", max(1, mshr.size))
         for p, tlb in zip(_TLB_PREFIXES, (h.mmu.dtlb, h.mmu.stlb)):
             row = tlb.ways + 1  # insert transiently exceeds ways
             n = tlb.num_sets * row
-            b[f"{p}_VP"] = array("q", bytes(8 * n))
-            b[f"{p}_PP"] = array("q", bytes(8 * n))
-            b[f"{p}_LEN"] = array("q", bytes(8 * tlb.num_sets))
+            b[f"{p}_VP"] = _zeros("q", n)
+            b[f"{p}_PP"] = _zeros("q", n)
+            b[f"{p}_LEN"] = _zeros("q", tlb.num_sets)
         cfg = h.dram.config
-        b["BANK_ROW"] = array("q", bytes(8 * cfg.banks))
-        b["BANK_BUSY"] = array("q", bytes(8 * cfg.banks))
-        b["PENDW"] = array("q", bytes(8 * (cfg.write_queue + 2)))
-        b["LOADS"] = array("d", bytes(8 * self.core.config.dependency_window))
-        b["PQ_ST"] = array("d", bytes(8 * max(1, h.pq.size)))
+        b["BANK_ROW"] = _zeros("q", cfg.banks)
+        b["BANK_BUSY"] = _zeros("q", cfg.banks)
+        b["PENDW"] = _zeros("q", cfg.write_queue + 2)
+        b["LOADS"] = _zeros("d", self.core.config.dependency_window)
+        b["PQ_ST"] = _zeros("d", max(1, h.pq.size))
 
-        kern = h._l1d_kernel
-        self._kern = kern
+        kern = self._kern
         if kern is not None:
             kcfg = kern.config
             e = kcfg.delta_table_entries
             per = kcfg.deltas_per_entry
             for f in ("E_VALID", "E_TAG", "E_CTR", "E_ORDER", "E_WARMED",
                       "E_SCOUNT", "HEAP_LEN"):
-                b[f] = array("q", bytes(8 * e))
+                b[f] = _zeros("q", e)
             for f in ("S_DELTA", "S_COV", "S_STATUS"):
-                b[f] = array("q", bytes(8 * e * per))
-            b["SCRATCH"] = array("q", bytes(8 * max(1, kcfg.max_deltas_per_search)))
-            # Between phase closes an entry's heap gains at most
-            # counter_max * max_deltas_per_search pairs on top of what a
-            # close leaves (<= per_entry); sized per span in begin_span.
+                b[f] = _zeros("q", e * per)
+            b["SCRATCH"] = _zeros("q", max(1, kcfg.max_deltas_per_search))
+            # A phase close leaves an entry's heap at <= per_entry pairs,
+            # and until the next close it gains at most counter_max *
+            # max_deltas_per_search more; the heap is sized once at
+            # export on top of its current length.
             self._heap_slack = (kcfg.counter_max * kcfg.max_deltas_per_search
                                 + per + 8)
 
+    def _bind_counters(self) -> None:
+        """The round-trip counters as (register, owner, attribute)."""
+        h, core = self.h, self.core
+        mmu, pfs2 = h.mmu, h.pf_stats["l2"]
+        dst = h.dram.stats
+        table = []
+        for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
+            st = cache.stats
+            table += [
+                (f"{p}_PF_FILLS", st, "prefetch_fills"),
+                (f"{p}_DEM_FILLS", st, "demand_fills"),
+                (f"{p}_USELESS", st, "useless_prefetches"),
+                (f"{p}_WB", st, "writebacks"),
+            ]
+        for p, m in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
+            table += [(f"{p}_ALLOCS", m, "allocations"),
+                      (f"{p}_FULLREJ", m, "full_rejections")]
+        table += [
+            ("DT_PPROBES", mmu.dtlb.stats, "prefetch_probes"),
+            ("DT_PPROBE_HITS", mmu.dtlb.stats, "prefetch_probe_hits"),
+            ("ST_ACC", mmu.stlb.stats, "accesses"),
+            ("ST_HITS", mmu.stlb.stats, "hits"),
+            ("MMU_WALKS", mmu.stats, "walks"),
+            ("MMU_DROPPED", mmu.stats, "dropped_prefetch_translations"),
+            ("DR_READS", dst, "reads"),
+            ("DR_WRITES", dst, "writes"),
+            ("DR_ROWH", dst, "row_hits"),
+            ("DR_ROWM", dst, "row_misses"),
+            ("DR_ROWC", dst, "row_conflicts"),
+            ("DR_LAT_TOTAL", dst, "total_read_latency"),
+            ("C_INSTR", core, "_instr"),
+            ("CREDIT2_USEFUL", pfs2, "useful"),
+            ("CREDIT2_LATE", pfs2, "late"),
+            ("PF1_USELESS", h._pf_l1d_stats, "useless"),
+            ("PF2_USELESS", pfs2, "useless"),
+            ("T12_WB", h.traffic_l1d_l2, "writeback"),
+            ("T2L_WB", h.traffic_l2_llc, "writeback"),
+            ("TLD_WB", h.traffic_llc_dram, "writeback"),
+        ]
+        kern = self._kern
+        if kern is not None:
+            table += [
+                ("H_INSERTS", kern.history, "inserts"),
+                ("H_SEARCHES", kern.history, "searches"),
+                ("DT_PHASES", kern.deltas, "phase_completions"),
+                ("DT_DISCARDED", kern.deltas, "discarded_deltas"),
+            ]
+        self._counters = tuple((RIX[n], obj, attr) for n, obj, attr in table)
+        self._fcounters = (
+            (FIX["F_FRONTEND"], core, "_frontend"),
+            (FIX["F_RETIRE"], core, "_retire_frontier"),
+            (FIX["F_ROB_HEAD"], core, "_rob_head_retire"),
+        )
+
     # ------------------------------------------------------------------
-    # Export (Python -> flat buffers)
+    # Span boundary
     # ------------------------------------------------------------------
 
     def begin_span(self, lo: int, hi: int) -> None:
-        R, F, b, h = self.R, self.F, self.bufs, self.h
+        """Export the counters, plus the structures if Python is newer."""
+        R, F, b = self.R, self.F, self.bufs
         for name in DELTA_REGS:
             R[RIX[name]] = 0
         R[RIX["LO"]], R[RIX["HI"]] = lo, hi
         R[RIX["ERR"]] = 0
         R[RIX["KERNEL"]] = 0 if self._kern is None else 1
+        for i, obj, attr in self._counters:
+            R[i] = getattr(obj, attr)
+        for i, obj, attr in self._fcounters:
+            F[i] = getattr(obj, attr)
+        if self._kern is not None:
+            # History rings: zero-copy — refresh pointers each span
+            # (reset() rebinds new arrays).
+            hist = self._kern.history
+            b["H_TAGS"], b["H_LINES"] = hist._tags, hist._lines
+            b["H_TSS"], b["H_ORDERS"] = hist._tss, hist._orders
+            b["H_CLOCK"], b["H_PTR"] = hist._fifo_clock, hist._fifo_ptr
+        if self.stale_side == STALE_BUFFERS:
+            self._export_structures(len(self.trace) - lo)
+        self._reserve(hi - lo)
+        # From here until sync() the buffers hold the newer structures.
+        self.stale_side = STALE_PYTHON
+        self.h._native_stale = True
 
+    def end_span(self, ok: bool) -> None:
+        """Import the counters; ``ok=False`` skips the span-delta flush."""
+        R, F = self.R, self.F
+        for i, obj, attr in self._counters:
+            setattr(obj, attr, R[i])
+        for i, obj, attr in self._fcounters:
+            setattr(obj, attr, F[i])
+        # A crashed span keeps its in-place counter mutations (the
+        # batched loop's immediate _credit_useful calls) but not the
+        # deltas.
+        if ok:
+            self._flush_deltas()
+
+    def sync(self, prefetcher_only: bool = False) -> None:
+        """Rebuild the Python structures from the buffers if they are newer.
+
+        The only import path for structures: the runner calls it before a
+        demoted span, the lockstep oracle before each state digest, the
+        snapshot writer before pickling, the engines at the end of every
+        run — and anything else that must read cache, TLB, MSHR, DRAM,
+        core-window, PQ or Berti structure.
+
+        ``prefetcher_only`` imports just the Berti tables, which belong
+        to the caller's prefetcher object; the buffers stay the newer
+        side for everything else.
+        """
+        if self.stale_side != STALE_PYTHON:
+            return
+        if self._kern is not None:
+            self._import_berti()
+        if prefetcher_only:
+            return
+        self._import_caches()
+        self._import_mshrs()
+        self._import_tlbs()
+        self._import_mmu()
+        self._import_dram()
+        self._import_core()
+        self._import_pq()
+        self.stale_side = None
+        self.h._native_stale = False
+
+    def _reserve(self, span_len: int) -> None:
+        """Grow the span-length-bound buffers (walk log, page-table hash,
+        core window) so one more span of ``span_len`` records fits."""
+        R, b = self.R, self.bufs
+        walked = R[RIX["WALKLOG_LEN"]]
+        _grow(b["WALK_VP"], walked + span_len + 1)
+        _grow(b["WALK_PP"], walked + span_len + 1)
+        entries = self._hash_base + walked + span_len
+        if _hash_capacity(entries) > R[RIX["HASH_CAP"]]:
+            hk, hv = b["HASH_K"], b["HASH_V"]
+            self._build_hash(
+                [(hk[i], hv[i]) for i in range(len(hk)) if hk[i] != -1],
+                _hash_capacity(entries),
+            )
+        need = R[RIX["WIN_LEN"]] + span_len + 1
+        _grow(b["WIN_K"], need)
+        _grow(b["WIN_RET"], need)
+
+    def _build_hash(self, items, cap: int) -> None:
+        """Open-addressed page-table hash, the kernel's probe sequence."""
+        hk = array("q", [-1]) * cap
+        hv = _zeros("q", cap)
+        mask = cap - 1
+        for vp, ppage in items:
+            i = (vp * _HASH_MUL >> 32) & mask
+            while hk[i] != -1:
+                i = (i + 1) & mask
+            hk[i] = vp
+            hv[i] = ppage
+        self.bufs["HASH_K"], self.bufs["HASH_V"] = hk, hv
+        self.R[RIX["HASH_CAP"]] = cap
+
+    # ------------------------------------------------------------------
+    # Export (Python -> flat buffers), when the buffers are stale
+    # ------------------------------------------------------------------
+
+    def _export_structures(self, remaining: int) -> None:
+        """Full export; ``remaining`` records of the trace are left, which
+        bounds the walk log, the page-table hash and the core window."""
+        h, R, F = self.h, self.R, self.F
         self._export_caches()
         self._export_mshrs()
         self._export_tlbs()
-        self._export_mmu(hi - lo)
+        self._export_mmu(remaining)
         self._export_dram()
-        self._export_core(hi - lo)
+        self._export_core(remaining)
         self._export_pq()
         if self._kern is not None:
             self._export_berti()
-
         F[FIX["F_WATERMARK"]] = h._l1d_kern_watermark
         R[RIX["CROSS_OK"]] = 1 if h._l1d_kern_cross_page else 0
-        pfs2 = h.pf_stats["l2"]
-        R[RIX["CREDIT2_USEFUL"]] = pfs2.useful
-        R[RIX["CREDIT2_LATE"]] = pfs2.late
-        R[RIX["PF1_USELESS"]] = h._pf_l1d_stats.useless
-        R[RIX["PF2_USELESS"]] = pfs2.useless
-        R[RIX["T12_WB"]] = h.traffic_l1d_l2.writeback
-        R[RIX["T2L_WB"]] = h.traffic_l2_llc.writeback
-        R[RIX["TLD_WB"]] = h.traffic_llc_dram.writeback
-
-    def mark_stale(self) -> None:
-        """Python-side cache objects were mutated outside the kernel
-        (a demoted span ran); the next span must re-export every set."""
-        self._cache_stale = True
 
     def _export_caches(self) -> None:
-        R, F, b = self.R, self.F, self.bufs
+        R, b = self.R, self.bufs
         h = self.h
-        stale = self._cache_stale
         for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
             ways = cache.ways
             R[RIX[f"{p}_SETS"]] = cache.num_sets
@@ -354,20 +547,10 @@ class NativeState:
                 pol_clock, pol_rows = None, pol._rrpv
             if type(pol) is DRRIPPolicy:
                 R[RIX[f"{p}_PSEL"]] = pol._psel
-                if stale:
-                    mt = b[f"{p}_MT"]
-                    state = pol._rng.getstate()[1]
-                    for i in range(625):
-                        mt[i] = state[i]
-            st = cache.stats
-            R[RIX[f"{p}_PF_FILLS"]] = st.prefetch_fills
-            R[RIX[f"{p}_DEM_FILLS"]] = st.demand_fills
-            R[RIX[f"{p}_USELESS"]] = st.useless_prefetches
-            R[RIX[f"{p}_WB"]] = st.writebacks
-            if not stale:
-                # Set arrays are pointwise equal to the Python objects
-                # (kept in sync by the touched-set import), skip them.
-                continue
+                mt = b[f"{p}_MT"]
+                state = pol._rng.getstate()[1]
+                for i in range(625):
+                    mt[i] = state[i]
             tags = b[f"{p}_TAG"]
             valid = b[f"{p}_VALID"]
             dirty = b[f"{p}_DIRTY"]
@@ -403,8 +586,6 @@ class NativeState:
                     pola[base + w] = prow[w]
                 if pol_clock is not None:
                     polc[s] = pol_clock[s]
-        if stale:
-            self._cache_stale = False
 
     def _export_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
@@ -413,8 +594,6 @@ class NativeState:
             R[RIX[f"{p}_COUNT"]] = len(m._entries)
             R[RIX[f"{p}_MINREADY"]] = m._min_ready
             R[RIX[f"{p}_LASTEXP"]] = m._last_expire
-            R[RIX[f"{p}_ALLOCS"]] = m.allocations
-            R[RIX[f"{p}_FULLREJ"]] = m.full_rejections
             line = b[f"{p}_LINE"]
             alloc = b[f"{p}_ALLOC"]
             ready = b[f"{p}_READY"]
@@ -448,44 +627,18 @@ class NativeState:
         R[RIX["DT_LAT"]] = mmu.dtlb.latency
         R[RIX["MISS_TRANS_LAT"]] = mmu.dtlb.latency + mmu.stlb.latency
         R[RIX["WALK_LAT"]] = mmu.page_walk_latency
-        R[RIX["DT_PPROBES"]] = mmu.dtlb.stats.prefetch_probes
-        R[RIX["DT_PPROBE_HITS"]] = mmu.dtlb.stats.prefetch_probe_hits
-        R[RIX["ST_ACC"]] = mmu.stlb.stats.accesses
-        R[RIX["ST_HITS"]] = mmu.stlb.stats.hits
 
-    def _export_mmu(self, span_len: int) -> None:
-        R, b, h = self.R, self.bufs, self.h
-        mmu = h.mmu
+    def _export_mmu(self, remaining: int) -> None:
+        R, b, mmu = self.R, self.bufs, self.h.mmu
         table = mmu._page_table
-        need = 2 * (len(table) + span_len + 16)
-        cap = 64
-        while cap < need:
-            cap <<= 1
-        hk = b.get("HASH_K")
-        if hk is None or len(hk) < cap:
-            b["HASH_K"] = hk = array("q", bytes(8 * cap))
-            b["HASH_V"] = array("q", bytes(8 * cap))
-        else:
-            cap = len(hk)
-        hv = b["HASH_V"]
-        for i in range(cap):
-            hk[i] = -1
-        mask = cap - 1
-        for vp, ppage in table.items():
-            i = (vp * 0x9E3779B97F4A7C15 >> 32) & mask
-            while hk[i] != -1:
-                i = (i + 1) & mask
-            hk[i] = vp
-            hv[i] = ppage
-        R[RIX["HASH_CAP"]] = cap
-        wl = b.get("WALK_VP")
-        if wl is None or len(wl) < span_len + 1:
-            b["WALK_VP"] = array("q", bytes(8 * (span_len + 1)))
-            b["WALK_PP"] = array("q", bytes(8 * (span_len + 1)))
+        # Walks happen only on demand translations, so the hash needs
+        # room for at most one new page per remaining record.
+        self._build_hash(table.items(), _hash_capacity(len(table) + remaining))
+        self._hash_base = len(table)
+        b["WALK_VP"] = _zeros("q", remaining + 1)
+        b["WALK_PP"] = _zeros("q", remaining + 1)
         R[RIX["WALKLOG_LEN"]] = 0
         R[RIX["MMU_NEXT_PPAGE"]] = mmu._next_ppage
-        R[RIX["MMU_WALKS"]] = mmu.stats.walks
-        R[RIX["MMU_DROPPED"]] = mmu.stats.dropped_prefetch_translations
 
     def _export_dram(self) -> None:
         R, F, b, h = self.R, self.F, self.bufs, self.h
@@ -508,43 +661,30 @@ class NativeState:
         for i, pl in enumerate(dram._pending_writes):
             pendw[i] = pl
         R[RIX["DR_PENDW_LEN"]] = len(dram._pending_writes)
-        st = dram.stats
-        R[RIX["DR_READS"]] = st.reads
-        R[RIX["DR_WRITES"]] = st.writes
-        R[RIX["DR_ROWH"]] = st.row_hits
-        R[RIX["DR_ROWM"]] = st.row_misses
-        R[RIX["DR_ROWC"]] = st.row_conflicts
-        R[RIX["DR_LAT_TOTAL"]] = st.total_read_latency
 
-    def _export_core(self, span_len: int) -> None:
+    def _export_core(self, remaining: int) -> None:
         R, F, b = self.R, self.F, self.bufs
         core = self.core
-        R[RIX["C_INSTR"]] = core._instr
         R[RIX["ROB_SIZE"]] = core._rob_size
         R[RIX["ISSUE_WIDTH"]] = core.config.issue_width
         R[RIX["RETIRE_WIDTH"]] = core.config.retire_width
         R[RIX["DEP_WINDOW"]] = core.config.dependency_window
-        F[FIX["F_FRONTEND"]] = core._frontend
-        F[FIX["F_RETIRE"]] = core._retire_frontier
-        F[FIX["F_ROB_HEAD"]] = core._rob_head_retire
         F[FIX["F_ISSUE_INCR"]] = core._issue_incr
         F[FIX["F_RETIRE_INCR"]] = core._retire_incr
         F[FIX["F_ISSUE_W"]] = float(core.config.issue_width)
         F[FIX["F_RETIRE_W"]] = float(core.config.retire_width)
+        # The kernel appends a span's window entries after the live ones
+        # and compacts to offset 0 on return.
         win = core._window
-        cap = len(win) + span_len + 1
-        wk = b.get("WIN_K")
-        if wk is None or len(wk) < cap:
-            b["WIN_K"] = array("q", bytes(8 * cap))
-            b["WIN_RET"] = array("d", bytes(8 * cap))
-        wk, wr = b["WIN_K"], b["WIN_RET"]
+        cap = len(win) + remaining + 1
+        b["WIN_K"] = wk = _zeros("q", cap)
+        b["WIN_RET"] = wr = _zeros("d", cap)
         for i, (k, ret) in enumerate(win):
             wk[i] = k
             wr[i] = ret
         R[RIX["WIN_LEN"]] = len(win)
-        R[RIX["WIN_CAP"]] = len(wk)
         loads = b["LOADS"]
-        lc = self.core._load_completions
+        lc = core._load_completions
         for i, v in enumerate(lc):
             loads[i] = v
         R[RIX["LOADS_LEN"]] = len(lc)
@@ -565,21 +705,12 @@ class NativeState:
         kern = self._kern
         hist = kern.history
         cfg = kern.config
-        # History rings: zero-copy — refresh pointers each span (reset()
-        # rebinds new arrays).
-        b["H_TAGS"] = hist._tags
-        b["H_LINES"] = hist._lines
-        b["H_TSS"] = hist._tss
-        b["H_ORDERS"] = hist._orders
-        b["H_CLOCK"] = hist._fifo_clock
-        b["H_PTR"] = hist._fifo_ptr
         R[RIX["H_SETS"]] = cfg.history_sets
         R[RIX["H_WAYS"]] = cfg.history_ways
-        R[RIX["H_INSERTS"]] = hist.inserts
-        R[RIX["H_SEARCHES"]] = hist.searches
         R[RIX["TS_MASK"]] = hist._ts_mask
         R[RIX["LINE_MASK"]] = hist._line_mask
         R[RIX["HTAG_MASK"]] = hist._tag_mask
+        self._chain_inserts = hist.inserts
 
         dt = kern.deltas
         entries = cfg.delta_table_entries
@@ -597,8 +728,6 @@ class NativeState:
         R[RIX["DELTA_HI"]] = (1 << (cfg.delta_bits - 1)) - 1
         R[RIX["DT_FIFO_CLOCK"]] = dt._fifo_clock
         R[RIX["DT_FIFO_PTR"]] = dt._fifo_ptr
-        R[RIX["DT_PHASES"]] = dt.phase_completions
-        R[RIX["DT_DISCARDED"]] = dt.discarded_deltas
         F[FIX["F_HIGH"]] = cfg.high_watermark * cfg.counter_max
         F[FIX["F_MEDIUM"]] = cfg.medium_watermark * cfg.counter_max
         F[FIX["F_REPL"]] = cfg.repl_watermark * cfg.counter_max
@@ -624,16 +753,9 @@ class NativeState:
                 ss[base + i] = strow[i]
         # Heaps: verbatim pair arrays (the kernel implements CPython's
         # heapq algorithms, so the final array layout round-trips).
-        heap_cap = max(
-            (max((len(hp) for hp in dt._evict_heap), default=0)
-             + self._heap_slack),
-            self._heap_slack,
-        )
-        hb = b.get("HEAP")
-        if hb is None or len(hb) < entries * heap_cap * 2:
-            b["HEAP"] = hb = array("q", bytes(8 * entries * heap_cap * 2))
-        else:
-            heap_cap = len(hb) // (entries * 2)
+        heap_cap = (max((len(hp) for hp in dt._evict_heap), default=0)
+                    + self._heap_slack)
+        b["HEAP"] = hb = _zeros("q", entries * heap_cap * 2)
         R[RIX["HEAP_CAP"]] = heap_cap
         hl = b["HEAP_LEN"]
         for e in range(entries):
@@ -645,34 +767,8 @@ class NativeState:
                 hb[base + 2 * i + 1] = s
 
     # ------------------------------------------------------------------
-    # Import (flat buffers -> Python)
+    # Import (flat buffers -> Python), only through sync()
     # ------------------------------------------------------------------
-
-    def end_span(self, ok: bool) -> None:
-        """Import state back; ``ok=False`` skips the span-delta flush."""
-        self._import_caches()
-        self._import_mshrs()
-        self._import_tlbs()
-        self._import_mmu()
-        self._import_dram()
-        self._import_core()
-        self._import_pq()
-        if self._kern is not None:
-            self._import_berti()
-        R, h = self.R, self.h
-        h._pf_l1d_stats.useless = R[RIX["PF1_USELESS"]]
-        pfs2 = h.pf_stats["l2"]
-        pfs2.useless = R[RIX["PF2_USELESS"]]
-        h.traffic_l1d_l2.writeback = R[RIX["T12_WB"]]
-        h.traffic_l2_llc.writeback = R[RIX["T2L_WB"]]
-        h.traffic_llc_dram.writeback = R[RIX["TLD_WB"]]
-        if ok:
-            self._flush_deltas()
-        else:
-            # A crashed span keeps its in-place mutations (the batched
-            # loop's immediate _credit_useful calls) but not the deltas.
-            pfs2.useful = R[RIX["CREDIT2_USEFUL"]]
-            pfs2.late = R[RIX["CREDIT2_LATE"]]
 
     def _import_caches(self) -> None:
         R, b, h = self.R, self.bufs, self.h
@@ -705,7 +801,7 @@ class NativeState:
             vcount = cache._valid_count
             sets = cache.sets
             for s in range(cache.num_sets):
-                if mat[s] != 2:  # untouched since export: already in sync
+                if mat[s] != 2:  # untouched since the last export/sync
                     continue
                 mat[s] = 1
                 row = sets[s]
@@ -743,11 +839,6 @@ class NativeState:
                     prow[w] = pola[base + w]
                 if pol_clock is not None:
                     pol_clock[s] = polc[s]
-            st = cache.stats
-            st.prefetch_fills = R[RIX[f"{p}_PF_FILLS"]]
-            st.demand_fills = R[RIX[f"{p}_DEM_FILLS"]]
-            st.useless_prefetches = R[RIX[f"{p}_USELESS"]]
-            st.writebacks = R[RIX[f"{p}_WB"]]
 
     def _import_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
@@ -770,12 +861,9 @@ class NativeState:
             m._entries = entries
             m._min_ready = R[RIX[f"{p}_MINREADY"]]
             m._last_expire = R[RIX[f"{p}_LASTEXP"]]
-            m.allocations = R[RIX[f"{p}_ALLOCS"]]
-            m.full_rejections = R[RIX[f"{p}_FULLREJ"]]
 
     def _import_tlbs(self) -> None:
-        R, b, h = self.R, self.bufs, self.h
-        mmu = h.mmu
+        b, mmu = self.bufs, self.h.mmu
         for p, tlb in zip(_TLB_PREFIXES, (mmu.dtlb, mmu.stlb)):
             row = tlb.ways + 1
             vp, pp, ln = b[f"{p}_VP"], b[f"{p}_PP"], b[f"{p}_LEN"]
@@ -789,23 +877,19 @@ class NativeState:
                 for v, ph in entries:
                     tmap[v] = ph
             tlb._map = tmap
-        mmu.dtlb.stats.prefetch_probes = R[RIX["DT_PPROBES"]]
-        mmu.dtlb.stats.prefetch_probe_hits = R[RIX["DT_PPROBE_HITS"]]
-        mmu.stlb.stats.accesses = R[RIX["ST_ACC"]]
-        mmu.stlb.stats.hits = R[RIX["ST_HITS"]]
 
     def _import_mmu(self) -> None:
-        R, b, h = self.R, self.bufs, self.h
-        mmu = h.mmu
+        R, b, mmu = self.R, self.bufs, self.h.mmu
         n = R[RIX["WALKLOG_LEN"]]
         wvp, wpp = b["WALK_VP"], b["WALK_PP"]
         table = mmu._page_table
         for i in range(n):
             # Walk order == the classic engine's dict insertion order.
             table[wvp[i]] = wpp[i]
+        # The walked pages now live in the table; the hash keeps them.
+        self._hash_base += n
+        R[RIX["WALKLOG_LEN"]] = 0
         mmu._next_ppage = R[RIX["MMU_NEXT_PPAGE"]]
-        mmu.stats.walks = R[RIX["MMU_WALKS"]]
-        mmu.stats.dropped_prefetch_translations = R[RIX["MMU_DROPPED"]]
 
     def _import_dram(self) -> None:
         R, F, b, h = self.R, self.F, self.bufs, self.h
@@ -819,35 +903,22 @@ class NativeState:
         dram._pending_writes = [
             pendw[i] for i in range(R[RIX["DR_PENDW_LEN"]])
         ]
-        st = dram.stats
-        st.reads = R[RIX["DR_READS"]]
-        st.writes = R[RIX["DR_WRITES"]]
-        st.row_hits = R[RIX["DR_ROWH"]]
-        st.row_misses = R[RIX["DR_ROWM"]]
-        st.row_conflicts = R[RIX["DR_ROWC"]]
-        st.total_read_latency = R[RIX["DR_LAT_TOTAL"]]
 
     def _import_core(self) -> None:
-        R, F, b = self.R, self.F, self.bufs
+        R, b = self.R, self.bufs
         core = self.core
-        core._instr = R[RIX["C_INSTR"]]
-        core._frontend = F[FIX["F_FRONTEND"]]
-        core._retire_frontier = F[FIX["F_RETIRE"]]
-        core._rob_head_retire = F[FIX["F_ROB_HEAD"]]
         wk, wr = b["WIN_K"], b["WIN_RET"]
-        n = R[RIX["WIN_LEN"]]
         win = core._window
         win.clear()
         # The kernel compacts the window to offset 0 before returning.
-        for i in range(n):
+        for i in range(R[RIX["WIN_LEN"]]):
             win.append((wk[i], wr[i]))
         loads = core._load_completions
         loads.clear()
         lbuf = b["LOADS"]
         pos = R[RIX["LOADS_POS"]]
-        cnt = R[RIX["LOADS_LEN"]]
         cap = core.config.dependency_window
-        for i in range(cnt):
+        for i in range(R[RIX["LOADS_LEN"]]):
             loads.append(lbuf[(pos + i) % cap])
 
     def _import_pq(self) -> None:
@@ -862,13 +933,11 @@ class NativeState:
         R, b = self.R, self.bufs
         kern = self._kern
         hist = kern.history
-        new_inserts = R[RIX["H_INSERTS"]]
-        rebuild = new_inserts != hist.inserts
-        hist.inserts = new_inserts
-        hist.searches = R[RIX["H_SEARCHES"]]
-        if rebuild:
+        inserts = R[RIX["H_INSERTS"]]
+        if inserts != self._chain_inserts:
             # Forward walk from the FIFO pointer visits oldest->youngest,
             # reproducing the incremental chain maintenance exactly.
+            self._chain_inserts = inserts
             cfg = kern.config
             sets, ways = cfg.history_sets, cfg.history_ways
             tags, lines, tss = hist._tags, hist._lines, hist._tss
@@ -929,8 +998,6 @@ class NativeState:
             ]
         dt._fifo_clock = R[RIX["DT_FIFO_CLOCK"]]
         dt._fifo_ptr = R[RIX["DT_FIFO_PTR"]]
-        dt.phase_completions = R[RIX["DT_PHASES"]]
-        dt.discarded_deltas = R[RIX["DT_DISCARDED"]]
 
     def _flush_deltas(self) -> None:
         R, h = self.R, self.h
@@ -977,10 +1044,11 @@ class NativeState:
         pfs1.dropped_mshr_full += g("D_PF_DM")
         pfs2 = h.pf_stats["l2"]
         # Dual-channel fields: the "credit" channel (the batched loop's
-        # immediate _credit_useful calls) lives in the absolute
-        # registers; the delta channel mirrors the flush list.
-        pfs2.useful = g("CREDIT2_USEFUL") + g("D_PF2_USEFUL")
-        pfs2.late = g("CREDIT2_LATE") + g("D_PF2_LATE")
+        # immediate _credit_useful calls) round-trips in the CREDIT2
+        # registers, already imported by end_span; the delta channel
+        # mirrors the flush list.
+        pfs2.useful += g("D_PF2_USEFUL")
+        pfs2.late += g("D_PF2_LATE")
         pfs2.promoted += g("D_PF2_PROMOTED")
         stlb_stats = h.mmu.stlb.stats
         stlb_stats.prefetch_probes += g("D_STLB_PROBES")
@@ -990,6 +1058,36 @@ class NativeState:
         kern = self._kern
         if kern is not None:
             kern.cross_page_suppressed += g("D_CROSS")
+
+    # ------------------------------------------------------------------
+    # Flat readers
+    # ------------------------------------------------------------------
+
+    def prefetched_line_counts(self) -> Dict[str, int]:
+        """:meth:`Hierarchy.prefetched_line_counts` read off the buffers.
+
+        Valid, still-prefetched lines of materialised sets counted by
+        origin code (1 = ``"l1d"``, 2 = ``"l2"``), plus the in-flight
+        prefetch entries of the L1D/L2 MSHRs.  Only meaningful while the
+        buffers are not stale.
+        """
+        b, R, h = self.bufs, self.R, self.h
+        l1d = l2 = 0
+        for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
+            valid, pref = b[f"{p}_VALID"], b[f"{p}_PREF"]
+            org, mat = b[f"{p}_ORG"], b[f"{p}_MAT"]
+            live = ((_np.frombuffer(mat, dtype=_np.int64) != 0)
+                    .repeat(cache.ways)
+                    & (_np.frombuffer(valid, dtype=_np.int64) != 0)
+                    & (_np.frombuffer(pref, dtype=_np.int64) != 0))
+            codes = _np.frombuffer(org, dtype=_np.int64)[live]
+            l1d += int(_np.count_nonzero(codes == 1))
+            l2 += int(_np.count_nonzero(codes == 2))
+        m1 = b["M1_ISPF"]
+        m2 = b["M2_ISPF"]
+        l1d += sum(1 for i in range(R[RIX["M1_COUNT"]]) if m1[i])
+        l2 += sum(1 for i in range(R[RIX["M2_COUNT"]]) if m2[i])
+        return {"l1d": l1d, "l2": l2}
 
     # ------------------------------------------------------------------
 

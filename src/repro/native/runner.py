@@ -12,17 +12,22 @@ surface one structured event, but each span still re-checks — a guard
 that clears (e.g. a test un-wraps a hook) lets later spans run natively,
 exactly like the batched engine's per-span ``batch_mode`` re-validation.
 
+Between native spans the flat buffers hold the simulated structures
+(see :mod:`repro.native.marshal`); :meth:`NativeRunner.sync` is the one
+way to bring the Python objects up to date.  The runner calls it before
+a demoted span; everything else that reads structure calls it too.
+
 Error mapping: the kernel returns 0 on success, 1 for MSHR exhaustion
 (registers ``ERR_A..ERR_D`` carry count/size/cycle/line) and any other
 value for an internal invariant breach.  On every non-zero return the
-state is imported with ``end_span(ok=False)`` — absolute counters land,
-span deltas are discarded — matching the batched loop's behaviour when
-``MSHR full`` propagates mid-record.
+counters are imported with ``end_span(ok=False)`` — absolute counters
+land, span deltas are discarded — matching the batched loop's behaviour
+when ``MSHR full`` propagates mid-record.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.berti import BertiPrefetcher
 from repro.errors import SimulationError
@@ -30,7 +35,7 @@ from repro.memory.replacement import DRRIPPolicy, LRUPolicy, SRRIPPolicy
 from repro.simulator.batched import batch_mode, make_batched_runner
 
 from . import build as _build
-from .marshal import RIX, NativeState
+from .marshal import RIX, STALE_BUFFERS, NativeState
 
 try:
     import numpy as _np
@@ -119,6 +124,9 @@ class NativeRunner:
     * ``demotion_code`` — first demotion reason (``None`` if never
       demoted), indexes :data:`DEMOTION_REASONS`;
     * ``demotion_detail`` — human-readable reason for that first event.
+
+    After a native span the hierarchy's structures live in the flat
+    buffers; call :meth:`sync` before reading them.
     """
 
     def __init__(
@@ -142,15 +150,36 @@ class NativeRunner:
         self._addrs_ok = _addresses_nonnegative(trace)
         self._state: Optional[NativeState] = None
 
+    def sync(self, prefetcher_only: bool = False) -> None:
+        """Bring the hierarchy's and core's Python structures up to date.
+
+        A no-op unless a native span ran since the last export or sync.
+        ``prefetcher_only`` imports just the L1D Berti prefetcher's
+        tables — what a caller that never saw the hierarchy can reach.
+        """
+        if self._state is not None:
+            self._state.sync(prefetcher_only)
+
+    def prefetched_line_counts(self) -> Dict[str, int]:
+        """:meth:`Hierarchy.prefetched_line_counts` without a sync: read
+        off the flat buffers unless the Python objects are newer."""
+        state = self._state
+        if state is None or state.stale_side == STALE_BUFFERS:
+            return self.hierarchy.prefetched_line_counts()
+        return state.prefetched_line_counts()
+
     def _demote(self, code: int, detail: str, lo: int, hi: int) -> None:
         if self.demotion_code is None:
             self.demotion_code = code
             self.demotion_detail = detail
         self.demoted_spans += 1
-        if self._state is not None:
-            # The Python span mutates the cache objects behind the flat
-            # buffers; a later native span must re-export everything.
-            self._state.mark_stale()
+        state = self._state
+        if state is not None:
+            # The Python span runs on the Python objects: bring them up
+            # to date first, and re-export them before the next native
+            # span.
+            state.sync()
+            state.stale_side = STALE_BUFFERS
         self._fallback(lo, hi)
 
     def __call__(self, lo: int, hi: int) -> None:

@@ -376,7 +376,10 @@ def lockstep_engines(
             hc.reset_stats()
             hb.reset_stats()
             carry_c = hc.prefetched_line_counts()
-            carry_b = hb.prefetched_line_counts()
+            # The native runner counts off its buffers (not yet synced),
+            # so this also checks the flat count against classic.
+            carry_b = (run_batched if engine == "native"
+                       else hb).prefetched_line_counts()
             start_c = _Snapshot(*cc.snapshot())
             start_b = _Snapshot(*cb.snapshot())
             if carry_c != carry_b:
@@ -386,6 +389,8 @@ def lockstep_engines(
             return report(mark, "core_clock",
                           (cb.instructions, cb.cycles),
                           (cc.instructions, cc.cycles))
+        if engine == "native":
+            run_batched.sync()
         d_c = _state_digest(hc)
         d_b = _state_digest(hb)
         if d_b != d_c:

@@ -399,6 +399,7 @@ def simulate_with_snapshots(
             sanitize.check_every - next_index % sanitize.check_every
         )
 
+    native_runner = None
     if engine == "batched":
         # The runner revalidates eligibility per span, so the sanitizer
         # wrapper installed above demotes it to the classic loop.
@@ -418,7 +419,9 @@ def simulate_with_snapshots(
                     trace=trace.name,
                     field="engine",
                 )
-        _run_span = make_native_runner(trace, hierarchy, core, chunk_size)
+        native_runner = make_native_runner(trace, hierarchy, core,
+                                           chunk_size)
+        _run_span = native_runner
     elif engine == "native":  # native == "off": pinned batched fallback
         _run_span = make_batched_runner(trace, hierarchy, core, chunk_size)
     else:
@@ -468,28 +471,35 @@ def simulate_with_snapshots(
     i = next_index
     if i == 0 and warmup_end == 0:
         start = _Snapshot(0, 0.0)
-    for mark in _boundaries():
-        _run_span(i, mark)
-        i = mark
-        if i == warmup_end and warmup_end > 0:
-            hierarchy.reset_stats()
-            carryover = hierarchy.prefetched_line_counts()
-            snap_i, snap_c = core.snapshot()
-            start = _Snapshot(snap_i, snap_c)
-        if snapshot_every and i % snapshot_every == 0 and 0 < i < n:
-            save_snapshot(
-                snapshot_path(snapshot_dir, i),
-                SnapshotState(
-                    hierarchy=hierarchy,
-                    core=core,
-                    next_index=i,
-                    warmup_end=warmup_end,
-                    carryover=carryover,
-                    start=start,
-                ),
-                trace,
-            )
-
+    try:
+        for mark in _boundaries():
+            _run_span(i, mark)
+            i = mark
+            if i == warmup_end and warmup_end > 0:
+                hierarchy.reset_stats()
+                carryover = (native_runner
+                             or hierarchy).prefetched_line_counts()
+                snap_i, snap_c = core.snapshot()
+                start = _Snapshot(snap_i, snap_c)
+            if snapshot_every and i % snapshot_every == 0 and 0 < i < n:
+                if native_runner is not None:
+                    native_runner.sync()
+                save_snapshot(
+                    snapshot_path(snapshot_dir, i),
+                    SnapshotState(
+                        hierarchy=hierarchy,
+                        core=core,
+                        next_index=i,
+                        warmup_end=warmup_end,
+                        carryover=carryover,
+                        start=start,
+                    ),
+                    trace,
+                )
+    finally:
+        if native_runner is not None:
+            # As in simulate(): sync what the caller can read.
+            native_runner.sync(prefetcher_only=post_build is None)
     if start is None:  # defensive: every path above sets it
         start = _Snapshot(0, 0.0)
     res = _collect(trace, hierarchy, core, start)

@@ -197,6 +197,10 @@ def simulate(
     ``post_build`` is an extension hook invoked with the freshly built
     hierarchy before the run starts — used by the fault-injection
     harness (:mod:`repro.runner.faultinject`) and by instrumentation.
+    With ``engine="native"`` the L1D prefetcher's tables are always
+    synced back from the native buffers before returning (the caller
+    holds that object); the rest of the hierarchy only when
+    ``post_build`` was given, since nothing else can reach it.
     ``progress``, when set, is called with the number of records consumed
     every ``progress_every`` records — the supervisor's heartbeat hook.
     It only splits the record spans at chunk boundaries (the same split
@@ -335,9 +339,8 @@ def simulate(
     # Suspend the cyclic garbage collector for the hot loop: the run
     # allocates steadily (cache lines, MSHR entries) and repeatedly trips
     # generational collections that find almost nothing — reference
-    # counting reclaims the simulator's objects.  The few true cycles
-    # (hierarchy ↔ eviction-hook closures) are picked up by the next
-    # collection after gc is re-enabled.
+    # counting reclaims the simulator's objects, the finished hierarchy
+    # included (it holds no reference cycle).
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -345,7 +348,9 @@ def simulate(
         _run(0, warmup_end)
         if warmup_end > 0:
             hierarchy.reset_stats()
-            carryover = hierarchy.prefetched_line_counts()
+            # The native runner counts off its flat buffers: the
+            # boundary needs no Python cache lines.
+            carryover = (native_runner or hierarchy).prefetched_line_counts()
             snap_i, snap_c = core.snapshot()
             start = _Snapshot(snap_i, snap_c)
         else:
@@ -354,6 +359,11 @@ def simulate(
     finally:
         if gc_was_enabled:
             gc.enable()
+        if native_runner is not None:
+            # The caller holds the L1D prefetcher, and a post_build
+            # caller the whole hierarchy: bring up to date what it can
+            # read.  A plain run never pays for the caches and TLBs.
+            native_runner.sync(prefetcher_only=post_build is None)
     res = _collect(trace, hierarchy, core, start)
     # Prefetched lines still resident (or in flight) at the end of warmup
     # can be demanded — and credited as useful — after the stats reset.

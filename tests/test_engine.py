@@ -1,5 +1,8 @@
 """Tests for the single-core simulation engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import BertiPrefetcher, SystemConfig, default_config, simulate
@@ -106,3 +109,19 @@ class TestConfig:
     def test_summary_line(self, stream):
         r = simulate(stream)
         assert "stream" in r.summary_line()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("engine", ["classic", "native"])
+    def test_finished_hierarchy_freed_by_refcounting(self, stream, engine):
+        # No reference cycle may keep a finished run's hierarchy (and all
+        # its cache lines) alive until the next cyclic collection.
+        refs = []
+        gc.collect()
+        gc.disable()
+        try:
+            simulate(stream, make_prefetcher("berti"), engine=engine,
+                     post_build=lambda h: refs.append(weakref.ref(h)))
+            assert refs[0]() is None
+        finally:
+            gc.enable()

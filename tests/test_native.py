@@ -12,15 +12,19 @@ without a C compiler; the demotion/fallback tests run everywhere — that
 *is* the pure-Python path.
 """
 
+import importlib.util
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 
 from repro.core.berti import BertiPrefetcher
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, SnapshotError
 from repro.memory.replacement import LRUPolicy
 from repro.native import build as native_build
-from repro.native.marshal import RIX
+from repro.native import runner as native_runner_mod
+from repro.native.marshal import RIX, NativeState
 from repro.native.runner import (
     DEMOTION_REASONS,
     NativeRunner,
@@ -30,6 +34,7 @@ from repro.native.runner import (
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.lockstep import _state_digest, lockstep_engines, quick_trace
 from repro.sanitizer.snapshot import simulate_with_snapshots, snapshot_path
+from repro.simulator import engine as engine_mod
 from repro.simulator.engine import build_hierarchy, simulate
 from repro.workloads.trace import Trace
 
@@ -148,6 +153,197 @@ class TestSnapshots:
         assert strip_native(resumed.to_dict()) == baseline
 
 
+def _golden_recorder():
+    path = Path(__file__).parent / "golden" / "record_golden.py"
+    spec = importlib.util.spec_from_file_location("record_golden", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@needs_kernel
+class TestLazyState:
+    """Between spans the flat buffers hold the structures; the Python
+    objects are rebuilt only through ``NativeRunner.sync()``."""
+
+    def test_plain_run_never_syncs(self, trace, monkeypatch):
+        syncs = []
+        built = []
+        real_sync = NativeState.sync
+        real_build = engine_mod.build_hierarchy
+
+        def counting_sync(state, prefetcher_only=False):
+            syncs.append(prefetcher_only)
+            real_sync(state, prefetcher_only)
+
+        def capturing_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(NativeState, "sync", counting_sync)
+        monkeypatch.setattr(engine_mod, "build_hierarchy", capturing_build)
+        rn = simulate(trace, l1d_prefetcher=make_prefetcher("berti"),
+                      engine="native")
+        monkeypatch.undo()
+        rc = simulate(trace, l1d_prefetcher=make_prefetcher("berti"))
+        assert rn.extra["native_spans"] > 0
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        # Only the caller's prefetcher is brought up to date, once, at
+        # the end of the run.
+        assert syncs == [True]
+        (h,) = built
+        for cache in (h.l1d, h.l2, h.llc):
+            assert all(row == [] for row in cache.sets), cache.name
+        # Reading the stale hierarchy is a typed error, not stale bytes.
+        with pytest.raises(SnapshotError) as exc:
+            pickle.dumps(h)
+        assert exc.value.context()["field"] == "native_sync"
+
+    def test_caller_prefetcher_current_after_run(self):
+        # The caller keeps the prefetcher it passed in: after a plain
+        # native run its tables must match classic, and a second run
+        # reusing it must too.
+        from repro.core.delta_table import L1D_PREF
+        from repro.workloads.spec_like import lbm_2676
+
+        trace = lbm_2676(0.05)
+        pf_c, pf_n = BertiPrefetcher(), BertiPrefetcher()
+        for _ in range(2):
+            rc = simulate(trace, l1d_prefetcher=pf_c)
+            rn = simulate(trace, l1d_prefetcher=pf_n, engine="native",
+                          native="force")
+            assert rn.extra["native_demoted_spans"] == 0
+            assert strip_native(rn.to_dict()) == rc.to_dict()
+            selected = pf_n.deltas.prefetch_deltas(0x401CB0)
+            assert selected == pf_c.deltas.prefetch_deltas(0x401CB0)
+            assert any(s == L1D_PREF for _, s in selected)
+            assert pickle.dumps(pf_n) == pickle.dumps(pf_c)
+
+    def test_buffers_grow_for_replayed_spans(self):
+        # Export sizes the walk log, page-table hash and core window for
+        # the rest of the trace; replaying the trace once more overruns
+        # that bound, so all three must grow (the hash by a rehash)
+        # without losing a page or a window entry.  1000 records put
+        # the hash just under a power-of-two capacity; tiny TLBs make
+        # the replays walk the page table again.
+        from dataclasses import replace
+
+        from repro.cpu.core_model import CoreModel
+        from repro.simulator.config import default_config
+
+        trace = quick_trace(1000, "native_grow")
+        cfg = replace(default_config(), dtlb_entries=4, dtlb_ways=2,
+                      stlb_entries=8, stlb_ways=2)
+        n = len(trace)
+        hn = build_hierarchy(cfg, make_prefetcher("berti"), None)
+        runner = make_native_runner(trace, hn, CoreModel(cfg.core))
+        runner(0, n)
+        cap = runner._state.R[RIX["HASH_CAP"]]
+        runner.sync()
+        runner(0, n)
+        runner(0, n)
+        assert runner._state.R[RIX["HASH_CAP"]] > cap
+        with pytest.raises(SnapshotError):
+            pickle.dumps(hn)  # the Python structures are stale here
+        runner.sync()
+        hc = build_hierarchy(cfg, make_prefetcher("berti"), None)
+        cc = CoreModel(cfg.core)
+        ips, addrs, writes, gaps, deps = trace.columns()
+        for i in list(range(n)) * 3:
+            if gaps[i]:
+                cc.advance_nonmem(gaps[i])
+            cc.issue_memory(hc.demand_access, ips[i], addrs[i],
+                            bool(writes[i]), deps[i])
+        assert runner.native_spans == 3
+        assert _state_digest(hn) == _state_digest(hc)
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("demote_at", [None, 700])
+    def test_sync_invariance(self, trace, monkeypatch, seed, demote_at):
+        # sync() at seeded random span boundaries (always including the
+        # warmup mark and the boundary right before the forced demotion)
+        # must not change the result: it only copies buffers -> Python.
+        step = 50
+        warmup_end = int(len(trace) * 0.2)
+        rng = random.Random(seed)
+        marks = set(rng.sample(range(step, len(trace), step), 6))
+        marks.add(warmup_end)
+        if demote_at is not None:
+            marks.add(demote_at // step * step)
+        runners = []
+        real_make = native_runner_mod.make_native_runner
+
+        def capturing_make(*args, **kwargs):
+            runners.append(real_make(*args, **kwargs))
+            return runners[-1]
+
+        def progress(done):
+            if done in marks:
+                runners[0].sync()
+
+        monkeypatch.setattr(native_runner_mod, "make_native_runner",
+                            capturing_make)
+        synced = simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti"), engine="native",
+            native_demote_at=demote_at, progress=progress,
+            progress_every=step,
+        )
+        monkeypatch.undo()
+        lazy = simulate(trace, l1d_prefetcher=make_prefetcher("berti"),
+                        engine="native", native_demote_at=demote_at,
+                        progress=lambda done: None, progress_every=step)
+        classic = simulate(trace, l1d_prefetcher=make_prefetcher("berti"))
+        assert synced.to_dict() == lazy.to_dict()
+        assert strip_native(synced.to_dict()) == classic.to_dict()
+        assert runners[0].native_spans > 0
+        assert bool(runners[0].demoted_spans) == (demote_at is not None)
+
+    def test_lockstep_syncs_drrip_state(self):
+        # The lockstep oracle syncs before every chunk-mark digest; with
+        # a DRRIP L2 that round-trips PSEL and the Mersenne Twister state.
+        from dataclasses import replace
+
+        from repro.simulator.config import default_config
+
+        cfg = default_config()
+        cfg = replace(cfg, l2=replace(cfg.l2, replacement="drrip"))
+        report = lockstep_engines(quick_trace(2000, "native_drrip"),
+                                  l1d="berti", config=cfg, chunk_size=97,
+                                  engine="native")
+        assert report.ok, report.describe()
+        assert report.engine == "native"
+
+    @pytest.mark.parametrize("pf,l1d_repl", [
+        ("berti", "lru"), ("berti", "srrip"), ("none", "lru"),
+    ])
+    def test_flat_prefetched_line_counts_match_python(self, pf, l1d_repl):
+        from dataclasses import replace
+
+        from repro.cpu.core_model import CoreModel
+        from repro.simulator.config import default_config
+
+        recorder = _golden_recorder()
+        cfg = default_config()
+        cfg = replace(cfg, l1d=replace(cfg.l1d, replacement=l1d_repl))
+        counted = 0
+        for spec, scale in recorder.GOLDEN_TRACES:
+            t = recorder.build_golden_trace(spec, scale)
+            h = build_hierarchy(cfg, make_prefetcher(pf), None)
+            h.mmu.prewarm(t.line_addresses())
+            runner = make_native_runner(t, h, CoreModel(cfg.core))
+            n = len(t)
+            for lo, hi in ((0, n // 5), (n // 5, n // 2), (n // 2, n)):
+                runner(lo, hi)
+                flat = runner.prefetched_line_counts()
+                runner.sync()
+                assert flat == h.prefetched_line_counts(), (spec, hi)
+                assert flat == runner.prefetched_line_counts()
+                counted += sum(flat.values())
+            assert runner.demoted_spans == 0
+        assert counted > 0 or pf == "none"
+
+
 class TestDemotionGuards:
     """The kernel must never engage against anything non-stock."""
 
@@ -235,7 +431,7 @@ class TestDemotionGuards:
     def test_guard_clearing_resumes_native_with_full_reexport(self):
         # native span -> demoted span (guard trips) -> native span again.
         # The demoted span mutates the Python cache objects directly, so
-        # the third span must re-export the full state (mark_stale path)
+        # the third span must re-export the full state (stale buffers)
         # and still land bit-identical with a pure classic run.
         from repro.cpu.core_model import CoreModel
         from repro.simulator.config import default_config
@@ -258,6 +454,7 @@ class TestDemotionGuards:
         runner(800, 1200)
         assert runner.native_spans == 2
         assert runner.demoted_spans == 1
+        runner.sync()  # the last span left its structures in the buffers
 
         hc = build_hierarchy(default_config(), make_prefetcher("berti"), None)
         cc = CoreModel(default_config().core)
