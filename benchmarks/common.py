@@ -98,6 +98,9 @@ def run(
             l1d_prefetcher=make_prefetcher(l1d),
             l2_prefetcher=make_prefetcher(l2),
             config=config or default_config(),
+            # Bit-identical to classic, so cached pickles stay valid;
+            # non-Berti configurations demote to the Python loops.
+            engine="native",
         )
         with path.open("wb") as fh:
             pickle.dump(result, fh)

@@ -803,12 +803,13 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
 def _add_engine_args(p) -> None:
     """Simulator inner-loop selection, shared by run/compare/suite."""
     g = p.add_argument_group("engine (docs/performance.md)")
-    g.add_argument("--engine", default="classic",
+    g.add_argument("--engine", default="native",
                    choices=["classic", "batched", "native"],
-                   help="simulator inner loop: classic per-record "
-                        "dispatch, the batched columnar loop, or the "
-                        "native C span kernel (both bit-identical, "
-                        "faster on stock configs)")
+                   help="simulator inner loop: the native C span kernel "
+                        "(default; demotes per span to Python where it "
+                        "has no support), classic per-record dispatch, "
+                        "or the batched columnar loop (all "
+                        "bit-identical)")
     g.add_argument("--chunk-size", type=int, default=0, metavar="N",
                    help="batched/native span length in records "
                         "(0 = engine default)")

@@ -196,15 +196,6 @@ def _snapshot_leg(case: FuzzCase) -> Optional[FuzzFinding]:
     return None
 
 
-def _strip_native_markers(result: dict) -> dict:
-    """The native engine's ``native_*`` extra keys are reporting-only
-    and excluded from the bit-identity contract."""
-    result = dict(result)
-    result["extra"] = {k: v for k, v in result.get("extra", {}).items()
-                       if not k.startswith("native")}
-    return result
-
-
 def _native_leg(case: FuzzCase) -> Optional[FuzzFinding]:
     from repro.native.build import kernel_available
 
@@ -228,18 +219,18 @@ def _native_leg(case: FuzzCase) -> Optional[FuzzFinding]:
         return None
     # Forced mid-span demotion: a run that flips from the C kernel to
     # the batched Python loop partway through must still land on the
-    # batched result (modulo the native_* reporting markers).
+    # batched result (to_dict() leaves out the native_* markers).
     make = case.make()
     trace = case.trace()
     l1d, l2 = case.config.get("l1d", "berti"), case.config.get("l2", "none")
     wf = case.config.get("warmup_fraction", 0.2)
     cs = case.config.get("chunk_size", 0)
-    ref = _strip_native_markers(simulate(
+    ref = simulate(
         trace, make(l1d), make(l2), warmup_fraction=wf,
-        engine="batched", chunk_size=cs).to_dict())
-    demoted = _strip_native_markers(simulate(
+        engine="batched", chunk_size=cs).to_dict()
+    demoted = simulate(
         trace, make(l1d), make(l2), warmup_fraction=wf,
-        engine="native", chunk_size=cs, native_demote_at=at).to_dict())
+        engine="native", chunk_size=cs, native_demote_at=at).to_dict()
     if demoted != ref:
         keys = [k for k in ref if demoted.get(k) != ref[k]]
         return _finding(case, "native", "native:demote-result",

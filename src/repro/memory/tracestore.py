@@ -319,6 +319,7 @@ class MappedTrace(Trace):
             cols.append(view[start:start + span].cast("q"))
         (self._ips, self._addrs, self._writes, self._gaps, self._deps,
          self._lines) = cols
+        self._pages_cache = None  # decoded_columns() fills it on first use
 
     # -- read-only contract -------------------------------------------
 

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
@@ -35,6 +36,13 @@ _KERNEL_SRC = Path(__file__).with_name("kernel.c")
 
 #: Memoised (entry_point, diagnostic) — at most one build per process.
 _BOUND: Optional[Tuple[Optional[Callable], Optional[str]]] = None
+
+#: The kernel keeps its working state (register/buffer pointers, cache
+#: geometry, the error jump buffer) in file-scope statics, and ctypes
+#: releases the GIL for the call, so concurrent spans from two threads
+#: of one process (the service daemon's job threads) would overwrite
+#: each other's state.  Spans are serialised per process instead.
+_CALL_LOCK = threading.Lock()
 
 
 def cache_dir() -> Path:
@@ -148,4 +156,5 @@ def call_span(fn: Callable, state: Any) -> int:
         state.F.buffer_info()[0], ctypes.POINTER(ctypes.c_double)
     )
     bufs = (ctypes.c_void_p * len(marshal.BUFS))(*state.pointers())
-    return int(fn(r_ptr, f_ptr, bufs))
+    with _CALL_LOCK:
+        return int(fn(r_ptr, f_ptr, bufs))

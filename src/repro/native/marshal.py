@@ -240,11 +240,17 @@ def decoded_columns(trace) -> Tuple[Any, Any]:
 
 
 def _ptr_of(buf: Any) -> int:
-    """Raw data pointer of an array('q'/'d') or numpy array (0 if empty)."""
+    """Raw data pointer of an array('q'/'d'), a numpy array, or a
+    read-only ``memoryview`` (a mapped trace store's columns, which the
+    kernel only reads); 0 if empty."""
     if buf is None:
         return 0
     if isinstance(buf, _np.ndarray):
         return buf.ctypes.data if buf.size else 0
+    if isinstance(buf, memoryview):
+        if not len(buf):
+            return 0
+        return _np.frombuffer(buf, dtype=_np.int64).ctypes.data
     return buf.buffer_info()[0] if len(buf) else 0
 
 

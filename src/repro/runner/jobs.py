@@ -64,12 +64,14 @@ class JobSpec:
     # fields above, they are excluded from `key`.
     heartbeat_path: Optional[str] = None
     heartbeat_every: int = 0
-    # Simulator inner loop (repro.simulator.batched).  The batched engine
-    # is bit-identical to the classic one (that is its contract, enforced
+    # Simulator inner loop (classic | batched | native).  Every engine is
+    # bit-identical to the classic one (that is their contract, enforced
     # by `repro sancheck --engine`), so like the knobs above it is a
     # performance detail excluded from `key`: results cached under one
-    # engine are valid under the other.
-    engine: str = "classic"
+    # engine are valid under the others.  Jobs default to the native C
+    # span kernel; configurations it does not cover demote span by span
+    # to the Python loops (a `native-demotion` manifest event).
+    engine: str = "native"
     chunk_size: int = 0
     # Native-backend policy (repro.native), meaningful with
     # engine="native": auto | force | off.  Same contract as above —

@@ -409,6 +409,10 @@ class CampaignSupervisor(ExperimentRunner):
                     self._records_done += int(records)
                     self._busy_seconds += outcome.elapsed
                     engine = getattr(job, "engine", "classic")
+                    if engine == "native" and extra.get(
+                            "native_demoted_spans"):
+                        # Credit what ran, not what was asked for.
+                        engine = "native-demoted"
                     self._engine_records[engine] = (
                         self._engine_records.get(engine, 0) + int(records)
                     )
@@ -691,7 +695,8 @@ class CampaignSupervisor(ExperimentRunner):
         compare against ``BENCH_simcore.json``).  Journal-replayed jobs
         contribute to neither: they did no simulation this run.
         ``engines`` breaks the record count down by the simulator inner
-        loop that produced it; ``chunk_sizes`` lists the chunk lengths
+        loop that produced it — a native job with any demoted span counts
+        under ``native-demoted``; ``chunk_sizes`` lists the chunk lengths
         batched jobs ran with (0 = engine default).
         """
         wall = 0.0

@@ -221,8 +221,8 @@ def simulate(
     demotion for every span extending past that record index (fuzz /
     test hook).  For ``engine="native"`` the result's ``extra`` carries
     ``native_spans`` / ``native_demoted_spans`` markers (plus
-    ``native_demoted`` / ``native_demotion_code`` after a fallback) —
-    strip ``native_*`` keys before cross-engine dict comparisons.
+    ``native_demoted`` / ``native_demotion_code`` after a fallback);
+    :meth:`SimResult.to_dict` leaves them out.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(

@@ -118,8 +118,18 @@ class SimResult:
         return self.ipc / baseline.ipc
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-JSON-serialisable form (for the runner's journal)."""
-        return asdict(self)
+        """A plain-JSON-serialisable form (for the runner's journal).
+
+        The native engine's ``native_*`` extras say how a run was
+        executed, not what it simulated, and their span counts depend
+        on where heartbeats or snapshots split the run; they stay on the
+        object and are left out here, so journals, result caches and
+        byte-identity checks see the same dict whatever the engine.
+        """
+        d = asdict(self)
+        d["extra"] = {k: v for k, v in d["extra"].items()
+                      if not k.startswith("native_")}
+        return d
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimResult":

@@ -28,6 +28,7 @@ from repro.memory.tracestore import (
     store_path,
     write_trace_store,
 )
+from repro.native.build import kernel_available as native_kernel_available
 from repro.runner import ExperimentRunner, JobSpec, RunnerConfig
 from repro.runner.worker import run_job
 from repro.workloads.catalog import resolve_trace
@@ -70,6 +71,19 @@ class TestRoundTrip:
                                     trace_path=str(store)))
         via_catalog = run_job(JobSpec(trace=TRACE, scale=SCALE, l1d="berti"))
         assert via_store.to_dict() == via_catalog.to_dict()
+
+    @pytest.mark.parametrize("engine", ["classic", "batched", "native"])
+    def test_every_engine_runs_from_a_store(self, store, engine):
+        # The batched loop and the native kernel read the mapped
+        # (read-only memoryview) columns and their decode directly.
+        via_store = run_job(JobSpec(trace=TRACE, scale=SCALE, l1d="berti",
+                                    trace_path=str(store), engine=engine))
+        classic = run_job(JobSpec(trace=TRACE, scale=SCALE, l1d="berti",
+                                  engine="classic")).to_dict()
+        if engine == "native" and native_kernel_available()[0] is not None:
+            assert via_store.extra["native_spans"] > 0
+            assert via_store.extra["native_demoted_spans"] == 0
+        assert via_store.to_dict() == classic
 
     def test_info_reports_header(self, store):
         info = store_info(store)

@@ -126,6 +126,53 @@ class TestGapSuite:
         b = gap_trace("sssp", "road", 0.05)
         assert a.records == b.records
 
+    @pytest.fixture
+    def fresh_memo(self):
+        gap_mod._graph_memo.cache_clear()
+        yield
+        gap_mod._graph_memo.cache_clear()
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    def test_memoised_traces_match_fresh_builds(self, scale, fresh_memo):
+        budget = max(1000, int(12000 * scale))
+        for gname in ("kron", "urand", "road", "web"):
+            fresh = gap_mod.GRAPHS[gname](min(1.0, scale))
+            for kernel, walk in gap_mod.KERNELS.items():
+                memoised = gap_trace(kernel, gname, scale)
+                expected = walk(fresh, f"{kernel}-{gname}", budget)
+                assert memoised.name == expected.name
+                assert ([bytes(c) for c in memoised.columns()]
+                        == [bytes(c) for c in expected.columns()]), (
+                    kernel, gname)
+
+    def test_graph_built_once_per_process(self, monkeypatch, fresh_memo):
+        calls = []
+        real = gap_mod.GRAPHS["road"]
+
+        def counting(scale):
+            calls.append(scale)
+            return real(scale)
+
+        monkeypatch.setitem(gap_mod.GRAPHS, "road", counting)
+        first = gap_trace("bfs", "road", 0.05)
+        again = gap_trace("bfs", "road", 0.05)
+        suite = gap_suite(0.05, kernels=["bfs", "cc"], graphs=["road"])
+        assert calls == [0.05]
+        assert first.records == again.records == suite[0].records
+        # Scales above 1 clamp to the same graph.
+        gap_trace("pr", "road", 2.0)
+        gap_trace("pr", "road", 3.0)
+        assert calls == [0.05, 1.0]
+
+    def test_graph_memo_is_bounded(self, monkeypatch, fresh_memo):
+        monkeypatch.setitem(gap_mod.GRAPHS, "road",
+                            lambda scale: ([0, 0], []))
+        maxsize = gap_mod._graph_memo.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(3 * maxsize):
+            gap_mod.built_graph("road", 0.001 * (i + 1))
+        assert gap_mod._graph_memo.cache_info().currsize <= maxsize
+
     def test_hub_cap_keeps_windows_representative(self):
         t = gap_trace("pr", "kron", 0.05)
         offsets_records = sum(
